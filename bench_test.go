@@ -305,9 +305,10 @@ func BenchmarkHostTrilinearView(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkHostShadeStencil measures a shaded contributing sample's
-// 7-fetch cost (1 classification + 6 stencil fetches), the heaviest
-// consumer of the hoisted sampler.
+// BenchmarkHostShadeStencil measures shaded rays: each contributing
+// sample's classification fetch and six-fetch gradient run as one fused
+// stencil (volume.BrickData.SampleStencil + Gradient). The cost model
+// still charges all seven fetches.
 func BenchmarkHostShadeStencil(b *testing.B) {
 	cam, sp, bd, prm := benchScene(b, 64)
 	prm.Shading = true
@@ -321,6 +322,43 @@ func BenchmarkHostShadeStencil(b *testing.B) {
 		samples += s.Samples
 	}
 	b.ReportMetric(float64(samples)/float64(b.N), "samples/ray")
+}
+
+// BenchmarkHostGradient times one shaded sample's seven fetches on one
+// fixed set of positions inside the skull brick: fused (SampleStencil +
+// Gradient, as CastRay runs them) against seven independent Sample
+// calls. ns/gradient reads the kernel ratio apart from end-to-end noise.
+func BenchmarkHostGradient(b *testing.B) {
+	_, _, bd, _ := benchScene(b, 64)
+	r := rand.New(rand.NewSource(1))
+	pts := make([][3]float32, 4096)
+	for i := range pts {
+		pts[i] = [3]float32{r.Float32() * 64, r.Float32() * 64, r.Float32() * 64}
+	}
+	b.Run("fused", func(b *testing.B) {
+		var st volume.Stencil
+		var sink float32
+		for i := 0; i < b.N; i++ {
+			p := pts[i%len(pts)]
+			sink += bd.SampleStencil(&st, p[0], p[1], p[2])
+			g := bd.Gradient(&st)
+			sink += g.X + g.Y + g.Z
+		}
+		_ = sink
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/gradient")
+	})
+	b.Run("naive", func(b *testing.B) {
+		var sink float32
+		for i := 0; i < b.N; i++ {
+			p := pts[i%len(pts)]
+			sink += bd.Sample(p[0], p[1], p[2])
+			sink += bd.Sample(p[0]+1, p[1], p[2]) - bd.Sample(p[0]-1, p[1], p[2]) +
+				bd.Sample(p[0], p[1]+1, p[2]) - bd.Sample(p[0], p[1]-1, p[2]) +
+				bd.Sample(p[0], p[1], p[2]+1) - bd.Sample(p[0], p[1], p[2]-1)
+		}
+		_ = sink
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/gradient")
+	})
 }
 
 // BenchmarkHostCountingSort measures the θ(n) counting sort on a

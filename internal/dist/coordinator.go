@@ -559,14 +559,6 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 				events <- event{err: err}
 				return
 			}
-			// Every re-placement costs a retry-budget token; an empty
-			// bucket means the fleet is sick fleet-wide, and the job
-			// fast-fails instead of amplifying the storm.
-			if !c.budget.TryTake() {
-				events <- event{err: fmt.Errorf("dist: bricks %v: %w (last error: %v)", b.bricks, ErrRetryBudget, err)}
-				return
-			}
-			c.retries.Add(1)
 			excluded := map[string]bool{}
 			for n := range b.excluded {
 				excluded[n] = true
@@ -587,11 +579,28 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 			for _, id := range b.bricks {
 				a := rv.place(job, id, excluded)
 				if a == "" {
+					// Out of candidates. When the budget is spent too, the
+					// budget's sentinel wins (DESIGN.md §13): the outcome
+					// is a function of the state, not of which check ran
+					// first.
+					if c.budget.Exhausted() {
+						events <- event{err: fmt.Errorf("dist: bricks %v: %w (last error: %v)", b.bricks, ErrRetryBudget, err)}
+						return
+					}
 					events <- event{err: fmt.Errorf("dist: bricks %v exhausted every worker: %w", b.bricks, err)}
 					return
 				}
 				regroup[a] = append(regroup[a], id)
 			}
+			// A launched re-placement costs one retry-budget token and
+			// counts one retry; an empty bucket means the fleet is sick
+			// fleet-wide, and the job fast-fails instead of amplifying the
+			// storm.
+			if !c.budget.TryTake() {
+				events <- event{err: fmt.Errorf("dist: bricks %v: %w (last error: %v)", b.bricks, ErrRetryBudget, err)}
+				return
+			}
+			c.retries.Add(1)
 			for a, bricks := range regroup {
 				launch(pendingBatch{bricks: bricks, target: a, excluded: excluded, attempts: b.attempts + 1})
 			}

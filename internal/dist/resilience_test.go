@@ -172,8 +172,17 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 // breakers configured out of the way, the retry budget is the only
 // backstop — the render must fail quickly with ErrRetryBudget instead of
 // grinding through MaxAttempts everywhere.
+//
+// A batch never retries a node that failed it, so on N workers a brick
+// runs out of candidates after N-1 retries. The fleet is sized so that
+// N-1 >= the budget's capacity: a batch that runs out of candidates has
+// then spent the whole budget itself, both are spent, and ErrRetryBudget
+// is the outcome under every goroutine order (DESIGN.md §13). On two
+// workers with a budget of two, a batch could run out of candidates
+// while a sibling's token was still unspent, and the honest answer in
+// that schedule is "exhausted every worker".
 func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
-	addrs := startWorkers(t, 2, func(i int, h http.Handler) http.Handler {
+	addrs := startWorkers(t, 3, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		})

@@ -289,6 +289,7 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 	occupiedUntil := float32(-1)
 
 	acc := vec.V4{}
+	var sten volume.Stencil
 	// entry < 0 marks "no contributing sample yet"; t is never negative.
 	entry := float32(-1)
 	for {
@@ -327,7 +328,14 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 			}
 			occupiedUntil = cellExitT(mc, cx, cy, cz, vorg, vdir)
 		}
-		s := bd.Sample(pos.X, pos.Y, pos.Z)
+		// Shaded marches keep the fetch's sampler state for the gradient
+		// stencil; unshaded marches take the plain fetch.
+		var s float32
+		if prm.Shading {
+			s = bd.SampleStencil(&sten, pos.X, pos.Y, pos.Z)
+		} else {
+			s = bd.Sample(pos.X, pos.Y, pos.Z)
+		}
 		st.Samples++
 		c := tf.Lookup(s)
 		if c.W > 0 {
@@ -335,7 +343,7 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 				entry = t
 			}
 			if prm.Shading {
-				shade := shadeAt(bd, pos, prm.lightNorm)
+				shade := shadeAt(bd, &sten, prm.lightNorm)
 				st.Samples += 6
 				c.X *= shade
 				c.Y *= shade
@@ -399,20 +407,19 @@ func cellExitT(mc *volume.Macrocells, cx, cy, cz int, vorg, vdir [3]float32) flo
 	return texit
 }
 
-// shadeAt evaluates Levoy-style diffuse shading at a voxel-space position:
-// a central-difference gradient (six texture fetches) gives the surface
-// normal; the return value scales the sample color.
-func shadeAt(bd *volume.BrickData, pos vec.V3, light vec.V3) float32 {
-	const h = 1.0 // one-voxel stencil
-	g := vec.V3{
-		X: bd.Sample(pos.X+h, pos.Y, pos.Z) - bd.Sample(pos.X-h, pos.Y, pos.Z),
-		Y: bd.Sample(pos.X, pos.Y+h, pos.Z) - bd.Sample(pos.X, pos.Y-h, pos.Z),
-		Z: bd.Sample(pos.X, pos.Y, pos.Z+h) - bd.Sample(pos.X, pos.Y, pos.Z-h),
-	}
-	if g.Len() < 1e-6 {
+// shadeAt evaluates Levoy-style diffuse shading at the sample s holds: a
+// central-difference gradient (six texture fetches, fused into one
+// stencil by BrickData.Gradient) gives the surface normal; the return
+// value scales the sample color.
+func shadeAt(bd *volume.BrickData, s *volume.Stencil, light vec.V3) float32 {
+	g := bd.Gradient(s)
+	l := g.Len()
+	if l < 1e-6 {
 		return 1 // homogeneous region: no surface to shade
 	}
-	n := g.Scale(-1).Norm()
+	// g.Scale(-1).Norm() without its second square root: (-g)·(-g) is
+	// g·g bit for bit, so Norm would recompute exactly l.
+	n := g.Scale(-1).Scale(1 / l)
 	diffuse := n.Dot(light)
 	if diffuse < 0 {
 		diffuse = -diffuse // two-sided shading for semi-transparent media

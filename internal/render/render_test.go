@@ -404,7 +404,9 @@ func TestShadeAtHomogeneousRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shadeAt(bd, vec.New3(4, 4, 4), vec.New3(0, 1, 0)); got != 1 {
+	var st volume.Stencil
+	bd.SampleStencil(&st, 4, 4, 4)
+	if got := shadeAt(bd, &st, vec.New3(0, 1, 0)); got != 1 {
 		t.Errorf("homogeneous shade = %v, want 1 (no surface)", got)
 	}
 }

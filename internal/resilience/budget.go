@@ -56,6 +56,19 @@ func (b *RetryBudget) TryTake() bool {
 	return true
 }
 
+// Exhausted reports whether TryTake would refuse right now, without
+// spending a token. Like a refused TryTake, an empty bucket counts as an
+// exhaustion event: the caller is about to fail fast on it.
+func (b *RetryBudget) Exhausted() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.tokens < 1 {
+		b.cfg.Metrics.BudgetExhausted()
+		return true
+	}
+	return false
+}
+
 // Credit refills Refill tokens after a successful exchange, up to
 // Capacity.
 func (b *RetryBudget) Credit() {

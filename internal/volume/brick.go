@@ -165,9 +165,9 @@ type BrickData struct {
 	mc     *Macrocells
 
 	// Hoisted sampler state: the backing selection and the ghost origin
-	// as floats, precomputed once per brick so Sample (and the 6-fetch
-	// shading stencil) is a single trilinearAt call instead of re-deriving
-	// them per fetch.
+	// as floats, precomputed once per brick so Sample is a single
+	// trilinearAt call (and the fused shading stencil one set-up) instead
+	// of re-deriving them per fetch.
 	smpData          []float32
 	smpDims          Dims
 	smpReg           Region
@@ -336,11 +336,11 @@ func viewBrickChecked(v *Volume, b Brick) (*BrickData, error) {
 // exactly the same value as Volume.Sample on the full volume — the ghost
 // layer guarantees it (see tests). The backing selection and ghost-origin
 // floats are hoisted into initSampler by the constructors, so the hot
-// path (this is called up to 7× per contributing sample, counting the
-// shading stencil) is one trilinearAt call. Bricks built as bare
-// literals take the slow branch, which derives the same values per call
-// instead of caching them — Sample must stay write-free so concurrent
-// sampling is race-free on any brick.
+// path (once per sample of an unshaded march; shaded marches use
+// SampleStencil and Gradient) is one trilinearAt call. Bricks built as
+// bare literals take the slow branch, which derives the same values per
+// call instead of caching them — Sample must stay write-free so
+// concurrent sampling is race-free on any brick.
 func (bd *BrickData) Sample(px, py, pz float32) float32 {
 	if bd.smpData == nil {
 		o := bd.Brick.Ghost.Org
