@@ -16,7 +16,7 @@ import (
 
 // testJob builds a JobSpec for a built-in dataset at `degrees` along the
 // fitted orbit.
-func testJob(t *testing.T, name string, edge, size, gpus int, degrees float64, shading bool) JobSpec {
+func testJob(t testing.TB, name string, edge, size, gpus int, degrees float64, shading bool) JobSpec {
 	t.Helper()
 	src, err := dataset.New(name, dataset.PaperDims(name, edge))
 	if err != nil {

@@ -1,15 +1,13 @@
 package dist
 
 import (
-	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
@@ -98,7 +96,7 @@ type ReducePlan struct {
 	// Self is the index in Reducers of the mapper itself, or -1 when the
 	// mapper is not a reducer; its own range skips the wire entirely.
 	Self int `json:"self"`
-	// Compress applies EncodingColumnar to the pushed payloads.
+	// Compress applies EncodingColumnar2 to the pushed payloads.
 	Compress bool `json:"compress,omitempty"`
 
 	Reducers []ReduceTarget `json:"reducers"`
@@ -200,56 +198,71 @@ const (
 // Keys inside a stripe ascend (the caster emits pixels in scan order),
 // so deltas are small positive varints; the float planes compress on the
 // smoothness of adjacent rays. The transform is lossless and exact: the
-// decoded fragments carry the same bit patterns, NaNs included.
+// decoded fragments carry the same bit patterns, NaNs included. flate
+// runs at wireLevel through the pooled encoder (deflate.go).
 func CompressStripes(stripes []core.BrickStripe) []byte {
 	total := 0
 	for _, s := range stripes {
 		total += len(s.Frags)
 	}
-	var raw bytes.Buffer
-	raw.Grow(len(stripes)*8 + total*(fragChannels*fragPlanes+2))
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) { raw.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	putVarint := func(v int64) { raw.Write(tmp[:binary.PutVarint(tmp[:], v)]) }
-
-	putUvarint(uint64(len(stripes)))
+	e := getEncoder(len(stripes)*8 + total*(fragChannels*fragPlanes+2))
+	raw := binary.AppendUvarint(e.raw, uint64(len(stripes)))
 	for _, s := range stripes {
-		putUvarint(uint64(uint32(int32(s.Brick))))
-		putUvarint(uint64(len(s.Frags)))
+		raw = binary.AppendUvarint(raw, uint64(uint32(int32(s.Brick))))
+		raw = binary.AppendUvarint(raw, uint64(len(s.Frags)))
 	}
 	for _, s := range stripes {
 		prev := int64(0)
 		for _, f := range s.Frags {
-			putVarint(int64(f.Key) - prev)
+			raw = binary.AppendVarint(raw, int64(f.Key)-prev)
 			prev = int64(f.Key)
 		}
 	}
-	planes := make([]byte, total*fragChannels*fragPlanes)
-	i := 0
-	for _, s := range stripes {
-		for _, f := range s.Frags {
-			bits := [fragChannels]uint32{
-				math.Float32bits(f.R), math.Float32bits(f.G), math.Float32bits(f.B),
-				math.Float32bits(f.A), math.Float32bits(f.Depth),
+	e.raw = appendPlanes(raw, stripes, total)
+	return e.deflate()
+}
+
+// appendPlanes appends the byte planes of the total fragments in stripes
+// to raw: channel-major, plane-minor, one byte per fragment in stripe
+// order — the tail section of both columnar transforms. It makes one
+// pass over the fragments per channel, so only four output streams are
+// live at a time instead of twenty.
+func appendPlanes(raw []byte, stripes []core.BrickStripe, total int) []byte {
+	off := len(raw)
+	raw = slices.Grow(raw, total*fragChannels*fragPlanes)[:off+total*fragChannels*fragPlanes]
+	planes := raw[off:]
+	for c := 0; c < fragChannels; c++ {
+		base := c * fragPlanes * total
+		p0 := planes[base : base+total]
+		p1 := planes[base+total : base+2*total]
+		p2 := planes[base+2*total : base+3*total]
+		p3 := planes[base+3*total : base+4*total]
+		i := 0
+		for _, s := range stripes {
+			for _, f := range s.Frags {
+				b := math.Float32bits(fragChannel(&f, c))
+				p0[i], p1[i], p2[i], p3[i] = byte(b), byte(b>>8), byte(b>>16), byte(b>>24)
+				i++
 			}
-			for c, b := range bits {
-				for p := 0; p < fragPlanes; p++ {
-					planes[(c*fragPlanes+p)*total+i] = byte(b >> (8 * p))
-				}
-			}
-			i++
 		}
 	}
-	raw.Write(planes)
+	return raw
+}
 
-	var out bytes.Buffer
-	// BestCompression: stripe payloads are sub-megabyte and encoded once
-	// per hop, so the deeper match search is wall-clock noise, and the
-	// wire model charges every byte it saves.
-	zw, _ := flate.NewWriter(&out, flate.BestCompression)
-	_, _ = zw.Write(raw.Bytes()) // bytes.Buffer writes cannot fail
-	_ = zw.Close()
-	return out.Bytes()
+// fragChannel returns channel c (R, G, B, A, Depth) of f.
+func fragChannel(f *composite.Fragment, c int) float32 {
+	switch c {
+	case 0:
+		return f.R
+	case 1:
+		return f.G
+	case 2:
+		return f.B
+	case 3:
+		return f.A
+	default:
+		return f.Depth
+	}
 }
 
 // DecompressStripes parses an EncodingColumnar payload. maxBytes bounds
@@ -257,15 +270,12 @@ func CompressStripes(stripes []core.BrickStripe) []byte {
 // truncation, counts beyond the payload, out-of-range bricks or keys,
 // trailing garbage — are errors, mirroring DecodeStripes.
 func DecompressStripes(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
-	zr := flate.NewReader(bytes.NewReader(data))
-	defer zr.Close()
-	raw, err := io.ReadAll(io.LimitReader(zr, maxBytes+1))
+	d, err := inflate(EncodingColumnar, data, maxBytes)
 	if err != nil {
-		return nil, fmt.Errorf("dist: %s inflate: %w", EncodingColumnar, err)
+		return nil, err
 	}
-	if int64(len(raw)) > maxBytes {
-		return nil, fmt.Errorf("dist: %s payload inflates beyond %d bytes", EncodingColumnar, maxBytes)
-	}
+	defer d.release()
+	raw := d.raw.Bytes()
 	pos := 0
 	uvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(raw[pos:])
@@ -360,16 +370,6 @@ func DecompressStripes(data []byte, maxBytes int64) ([]core.BrickStripe, error) 
 		return nil, nil
 	}
 	return stripes, nil
-}
-
-// EncodePayload serialises stripes for the wire, compressed when the
-// peer negotiated it. The returned encoding is the Content-Encoding
-// value ("" = identity v1).
-func EncodePayload(stripes []core.BrickStripe, compress bool) ([]byte, string) {
-	if compress {
-		return CompressStripes(stripes), EncodingColumnar
-	}
-	return EncodeStripes(stripes), ""
 }
 
 // DecodePayload parses a wire payload according to its Content-Encoding.

@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -171,54 +168,29 @@ func DecodeStripesV2(data []byte) ([]core.BrickStripe, error) {
 //	)
 //
 // The transform is cf1 with per-pixel run headers in place of
-// per-fragment keys; it is lossless and exact, NaN payloads included.
+// per-fragment keys; it is lossless and exact, NaN payloads included,
+// and shares cf1's pooled deflate path (deflate.go).
 func CompressStripesV2(stripes []core.BrickStripe) []byte {
 	total := 0
 	for _, s := range stripes {
 		total += len(s.Frags)
 	}
-	var raw bytes.Buffer
-	raw.Grow(len(stripes)*8 + total*(fragChannels*fragPlanes+1))
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) { raw.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	putVarint := func(v int64) { raw.Write(tmp[:binary.PutVarint(tmp[:], v)]) }
-
-	putUvarint(uint64(len(stripes)))
+	e := getEncoder(len(stripes)*8 + total*(fragChannels*fragPlanes+1))
+	raw := binary.AppendUvarint(e.raw, uint64(len(stripes)))
 	for _, s := range stripes {
-		putUvarint(uint64(uint32(int32(s.Brick))))
-		putUvarint(uint64(countRuns(s.Frags)))
+		raw = binary.AppendUvarint(raw, uint64(uint32(int32(s.Brick))))
+		raw = binary.AppendUvarint(raw, uint64(countRuns(s.Frags)))
 	}
 	for _, s := range stripes {
 		prev := int64(0)
 		stripeRuns(s.Frags, func(key int32, count int) {
-			putVarint(int64(key) - prev)
+			raw = binary.AppendVarint(raw, int64(key)-prev)
 			prev = int64(key)
-			putUvarint(uint64(count))
+			raw = binary.AppendUvarint(raw, uint64(count))
 		})
 	}
-	planes := make([]byte, total*fragChannels*fragPlanes)
-	i := 0
-	for _, s := range stripes {
-		for _, f := range s.Frags {
-			bits := [fragChannels]uint32{
-				math.Float32bits(f.R), math.Float32bits(f.G), math.Float32bits(f.B),
-				math.Float32bits(f.A), math.Float32bits(f.Depth),
-			}
-			for c, b := range bits {
-				for p := 0; p < fragPlanes; p++ {
-					planes[(c*fragPlanes+p)*total+i] = byte(b >> (8 * p))
-				}
-			}
-			i++
-		}
-	}
-	raw.Write(planes)
-
-	var out bytes.Buffer
-	zw, _ := flate.NewWriter(&out, flate.BestCompression)
-	_, _ = zw.Write(raw.Bytes()) // bytes.Buffer writes cannot fail
-	_ = zw.Close()
-	return out.Bytes()
+	e.raw = appendPlanes(raw, stripes, total)
+	return e.deflate()
 }
 
 // DecompressStripesV2 parses an EncodingColumnar2 payload. maxBytes
@@ -226,15 +198,12 @@ func CompressStripesV2(stripes []core.BrickStripe) []byte {
 // are errors, mirroring DecompressStripes. Canonical-form violations
 // (zero counts, split runs) are rejected like DecodeStripesV2.
 func DecompressStripesV2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
-	zr := flate.NewReader(bytes.NewReader(data))
-	defer zr.Close()
-	raw, err := io.ReadAll(io.LimitReader(zr, maxBytes+1))
+	d, err := inflate(EncodingColumnar2, data, maxBytes)
 	if err != nil {
-		return nil, fmt.Errorf("dist: %s inflate: %w", EncodingColumnar2, err)
+		return nil, err
 	}
-	if int64(len(raw)) > maxBytes {
-		return nil, fmt.Errorf("dist: %s payload inflates beyond %d bytes", EncodingColumnar2, maxBytes)
-	}
+	defer d.release()
+	raw := d.raw.Bytes()
 	pos := 0
 	uvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(raw[pos:])
@@ -327,6 +296,13 @@ func DecompressStripesV2(data []byte, maxBytes int64) ([]core.BrickStripe, error
 	i := 0
 	for si := range stripes {
 		var frags []composite.Fragment
+		if len(runs[si]) > 0 {
+			n := int64(0)
+			for _, r := range runs[si] {
+				n += r.count
+			}
+			frags = make([]composite.Fragment, 0, n)
+		}
 		for _, r := range runs[si] {
 			for c := int64(0); c < r.count; c++ {
 				var bits [fragChannels]uint32

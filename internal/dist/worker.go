@@ -397,7 +397,14 @@ func (wk *Worker) pushStripes(ctx context.Context, plan *ReducePlan, stripes []c
 
 func (wk *Worker) postPush(ctx context.Context, tgt ReduceTarget, exchange string,
 	stripes []core.BrickStripe, compress bool) error {
-	payload, encoding := EncodePayload(stripes, compress)
+	encoding := ""
+	if compress {
+		encoding = EncodingColumnar2
+	}
+	payload, err := EncodePayloadAs(stripes, encoding)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(ctx, wk.cfg.PushTimeout)
 	defer cancel()
 	u := fmt.Sprintf("%s%s?ex=%s&lo=%d&hi=%d", tgt.Addr, ReducePath, url.QueryEscape(exchange), tgt.Lo, tgt.Hi)

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,20 +72,32 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 	}
 }
 
+// TestMapCancelSkipsUnstartedJobs: a worker whose job fails starts no
+// further job. Each worker's first job waits until every worker is
+// inside one, then fails, so every worker records a failure before it
+// takes another index and none of the remaining jobs starts, on any
+// schedule. (A failure on one worker cannot be asserted to stop its
+// siblings: the scheduler may legally run every remaining job on a
+// sibling before the failing worker records its error.)
 func TestMapCancelSkipsUnstartedJobs(t *testing.T) {
+	const workers, n = 4, 1000
+	var started sync.WaitGroup
+	started.Add(workers)
 	var ran int64
-	_, err := Map(2, 1000, func(i int) (int, error) {
+	_, err := Map(workers, n, func(i int) (int, error) {
 		atomic.AddInt64(&ran, 1)
-		if i == 0 {
-			return 0, fmt.Errorf("boom")
+		if i >= workers {
+			return i, nil
 		}
-		return i, nil
+		started.Done()
+		started.Wait()
+		return 0, fmt.Errorf("job %d failed", i)
 	})
-	if err == nil {
-		t.Fatal("expected error")
+	if err == nil || err.Error() != "job 0 failed" {
+		t.Fatalf("err = %v, want job 0's error", err)
 	}
-	if r := atomic.LoadInt64(&ran); r == 1000 {
-		t.Errorf("cancellation did not skip any of the %d jobs", r)
+	if r := atomic.LoadInt64(&ran); r != workers {
+		t.Errorf("%d of %d jobs started after all %d workers failed, want %d", r, n, workers, workers)
 	}
 }
 
