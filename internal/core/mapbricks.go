@@ -210,6 +210,7 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 	if err := mapper.inner.prm.Validate(); err != nil {
 		return nil, err
 	}
+	mapper.inner.startJob(chunks)
 	workers := inst.TotalGPUs()
 	if len(chunks) < workers {
 		workers = len(chunks)

@@ -20,6 +20,7 @@ type rayCastMapper struct {
 	cam     *camera.Camera
 	prm     render.Params
 	sampler render.SampleFn
+	stager  *volume.Stager // the job's; set by startJob
 }
 
 var _ mapreduce.Mapper[composite.Fragment, []*volume.BrickData] = (*rayCastMapper)(nil)
@@ -31,19 +32,31 @@ func (m *rayCastMapper) Init(p mapreduce.Ctx, w *mapreduce.Worker) error {
 	return nil
 }
 
+// startJob builds the job's stager from the bricks of the chunks it will
+// map — the job's own chunks, not the whole grid, since MapBricks maps a
+// subset. Render and MapBricks call it before running the job.
+func (m *rayCastMapper) startJob(chunks []mapreduce.Chunk) {
+	var bricks []volume.Brick
+	for _, c := range chunks {
+		bricks = append(bricks, c.(unitChunk).bricks...)
+	}
+	m.stager = volume.NewStager(m.src, bricks, m.tfEmpty())
+}
+
 // Stage implements mapreduce.Mapper: materialise the ghost regions of the
-// unit's bricks. The engine charges disk time separately when configured
-// FromDisk; the real data production happens here (array copy, analytic
-// evaluation, or file read). Sources that persist per-brick min/max (the
-// v2 demand pager) can prove a brick invisible under the transfer
-// function before any of that happens — such bricks stage as payload-free
-// empties the kernel leaps over.
+// unit's bricks through the job's stager. The engine charges disk time
+// separately when configured FromDisk; the real data production happens
+// here (array copy, analytic evaluation, or file read). Sources that
+// persist per-brick min/max (the v2 demand pager) can prove a brick
+// invisible under the transfer function before any of that happens —
+// such bricks stage as payload-free empties the kernel leaps over — and
+// a paged job decodes each file brick about once, handing the one-voxel
+// ghost slabs it does not own to the bricks still to be staged.
 func (m *rayCastMapper) Stage(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk) ([]*volume.BrickData, error) {
 	bricks := c.(unitChunk).bricks
-	tfEmpty := m.tfEmpty()
 	staged := make([]*volume.BrickData, 0, len(bricks))
 	for _, b := range bricks {
-		bd, err := volume.StageBrickSkip(m.src, b, tfEmpty)
+		bd, err := m.stager.Stage(b)
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +65,7 @@ func (m *rayCastMapper) Stage(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.
 	return staged, nil
 }
 
-// tfEmpty returns the invisibility predicate StageBrickSkip needs — "is
+// tfEmpty returns the invisibility predicate the stager needs — "is
 // every scalar in [lo, hi] mapped to zero opacity?" — or nil when
 // empty-space skipping is disabled, which must also disable min/max
 // staging skips so NoEmptySkip renders remain exact reference runs.

@@ -774,20 +774,3 @@ func TestCompressionShrinksRealStripes(t *testing.T) {
 		t.Fatal("real stripes changed bits over the columnar wire")
 	}
 }
-
-// TestAcceptsColumnar covers the negotiation parser.
-func TestAcceptsColumnar(t *testing.T) {
-	for header, want := range map[string]bool{
-		"":                           false,
-		"gzip, deflate":              false,
-		EncodingColumnar:             true,
-		"gzip, " + EncodingColumnar:  true,
-		EncodingColumnar + ";q=1":    true,
-		" " + EncodingColumnar + " ": true,
-		"xgvmr-cf1":                  false,
-	} {
-		if got := acceptsColumnar(header); got != want {
-			t.Errorf("acceptsColumnar(%q) = %t, want %t", header, got, want)
-		}
-	}
-}

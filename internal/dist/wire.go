@@ -389,12 +389,6 @@ func DecodePayload(encoding string, data []byte, maxBytes int64) ([]core.BrickSt
 	}
 }
 
-// acceptsColumnar reports whether an Accept-Encoding header value offers
-// EncodingColumnar.
-func acceptsColumnar(header string) bool {
-	return acceptsEncoding(header, EncodingColumnar)
-}
-
 // PayloadDigest is the hex SHA-256 of a stripe payload — the value of
 // HeaderStripeDigest.
 func PayloadDigest(data []byte) string {

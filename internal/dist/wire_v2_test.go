@@ -134,6 +134,7 @@ func TestNegotiateEncoding(t *testing.T) {
 		" gvmr-cf2 ;q=0.5 , gzip":  EncodingColumnar2,
 		"gvmr-cf3, gvmr-cf1;q=0.9": EncodingColumnar,
 		"gvmr-cf2junk, gvmr-v2":    EncodingListV2,
+		"xgvmr-cf1":                "",
 	} {
 		if got := negotiateEncoding(header); got != want {
 			t.Errorf("negotiateEncoding(%q) = %q, want %q", header, got, want)

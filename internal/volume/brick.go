@@ -250,8 +250,13 @@ func EmptyBrickData(b Brick, lo, hi float32) *BrickData {
 // far cheaper than producing it) is built lazily by Cells(), so renders
 // that never skip never pay for it.
 func FillBrick(src Source, b Brick) (*BrickData, error) {
+	return fillBrick(b, func(dst []float32) error { return src.Fill(b.Ghost, dst) })
+}
+
+// fillBrick builds a copy-backed brick whose ghost data fill writes.
+func fillBrick(b Brick, fill func(dst []float32) error) (*BrickData, error) {
 	bd := &BrickData{Brick: b, Data: make([]float32, b.Ghost.Ext.Voxels())}
-	if err := src.Fill(b.Ghost, bd.Data); err != nil {
+	if err := fill(bd.Data); err != nil {
 		return nil, err
 	}
 	bd.mcFn = func() *Macrocells { return BuildMacrocells(bd.Data, b.Ghost.Ext, b.Ghost.Org) }
@@ -291,34 +296,6 @@ func StageBrick(src Source, b Brick) (*BrickData, error) {
 		return viewBrickChecked(s.V, b)
 	}
 	return FillBrick(src, b)
-}
-
-// brickSkipNoter is the optional hook a source can implement to count
-// bricks that staging proved empty without touching it.
-type brickSkipNoter interface{ NoteBrickSkip() }
-
-// StageBrickSkip stages a brick like StageBrick, except that when the
-// source can bound the brick's sample values without reading them
-// (RangedSource — the v2 pager's persisted per-brick min/max) and
-// tfEmpty proves that whole range invisible under the active transfer
-// function, it returns a payload-free empty brick instead: no disk I/O,
-// no staging-cache traffic, no upload bytes. tfEmpty == nil (skipping
-// disabled, or no transfer function) always takes the ordinary path.
-func StageBrickSkip(src Source, b Brick, tfEmpty func(lo, hi float32) bool) (*BrickData, error) {
-	if tfEmpty != nil {
-		if rs, ok := src.(RangedSource); ok {
-			// Bound the ghost region, not just the core: trilinear fetches
-			// clamp into the sampled region, so the ghost range bounds
-			// every value a sample inside this brick can see.
-			if lo, hi, known := rs.RegionRange(b.Ghost); known && lo <= hi && tfEmpty(lo, hi) {
-				if n, ok := src.(brickSkipNoter); ok {
-					n.NoteBrickSkip()
-				}
-				return EmptyBrickData(b, lo, hi), nil
-			}
-		}
-	}
-	return StageBrick(src, b)
 }
 
 // viewBrickChecked validates the ghost region against the volume before

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -314,12 +315,13 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 
 // PagerStats is a snapshot of a PagedSource's demand-paging activity.
 type PagerStats struct {
-	Bricks        int   `json:"bricks"`         // bricks in the file
-	BrickReads    int64 `json:"brick_reads"`    // payloads decoded from disk
-	BytesRead     int64 `json:"bytes_read"`     // stored payload bytes read
-	Reloads       int64 `json:"reloads"`        // re-reads of a brick already read once: proof of eviction between the two
-	Fallbacks     int64 `json:"fallbacks"`      // pages served uncached (budget exhausted by in-flight work)
-	SkippedBricks int64 `json:"skipped_bricks"` // render bricks proven TF-empty by directory min/max: zero disk traffic
+	Bricks        int   `json:"bricks"`          // bricks in the file
+	BrickReads    int64 `json:"brick_reads"`     // payloads decoded from disk
+	BytesRead     int64 `json:"bytes_read"`      // stored payload bytes read
+	Reloads       int64 `json:"reloads"`         // re-reads of a brick already read once: proof of eviction between the two
+	Fallbacks     int64 `json:"fallbacks"`       // pages served uncached (budget exhausted by in-flight work)
+	SkippedBricks int64 `json:"skipped_bricks"`  // render bricks proven TF-empty by directory min/max: zero disk traffic
+	GhostSlabHits int64 `json:"ghost_slab_hits"` // page touches served from a render job's ghost slab instead of being paged
 }
 
 // RangedSource is a Source that can bound the sample values of a region
@@ -345,14 +347,15 @@ type PagedSource struct {
 	cache     *StagingCache
 	keyPrefix string
 
-	mu     sync.Mutex
-	loaded map[int]bool // brick id → read from disk at least once
+	mu    sync.Mutex
+	reads map[int]int // brick id → times read from disk
 
 	brickReads atomic.Int64
 	bytesRead  atomic.Int64
 	reloads    atomic.Int64
 	fallbacks  atomic.Int64
 	skips      atomic.Int64
+	slabHits   atomic.Int64
 }
 
 // OpenFileV2 opens a bricked v2 volume file. The header and brick
@@ -424,7 +427,7 @@ func OpenFileV2(path string) (*PagedSource, error) {
 		// Key pages by path + size + mtime so a rewritten file never
 		// serves stale pages out of the shared cache.
 		keyPrefix: fmt.Sprintf("pv2|%s|%d|%d|", path, size, fi.ModTime().UnixNano()),
-		loaded:    map[int]bool{},
+		reads:     map[int]int{},
 	}, nil
 }
 
@@ -479,11 +482,12 @@ func (s *PagedSource) Stats() PagerStats {
 		Reloads:       s.reloads.Load(),
 		Fallbacks:     s.fallbacks.Load(),
 		SkippedBricks: s.skips.Load(),
+		GhostSlabHits: s.slabHits.Load(),
 	}
 }
 
 // NoteBrickSkip records that a render brick was proven empty from the
-// directory min/max alone (StageBrickSkip calls it; no disk I/O happened).
+// directory min/max alone (a Stager calls it; no disk I/O happened).
 func (s *PagedSource) NoteBrickSkip() { s.skips.Add(1) }
 
 // splitRange returns the [i0, i1) range of axis splits (of length into n
@@ -536,40 +540,71 @@ func (s *PagedSource) RegionRange(r Region) (lo, hi float32, ok bool) {
 	return lo, hi, ok
 }
 
+// maxPooledPage caps the payload buffers a page decoder keeps in its
+// pool: bricks up to 64³ (1 MiB raw) reuse them, and anything larger is
+// left to the garbage collector rather than pinned in the pool for good.
+const maxPooledPage = 1 << 20
+
+// pageDecoder is one pooled page read: the stored payload is read into
+// stored and, for flate files, zr inflates it through src into raw, with
+// probe checking that the stream ends at the core size. A failed decode
+// leaves the decoder reusable: Reset makes zr equivalent to a fresh
+// flate.NewReader.
+type pageDecoder struct {
+	stored, raw []byte
+	src         bytes.Reader
+	zr          io.ReadCloser // a flate.Resetter
+	probe       [1]byte
+}
+
+var pageDecoders = sync.Pool{New: func() any {
+	d := new(pageDecoder)
+	d.zr = flate.NewReader(&d.src)
+	return d
+}}
+
 // readBrickInto reads brick i's payload from disk and decodes it into
 // dst (the brick's core voxels). This is the only disk path; everything
-// else is served from the staging cache.
+// else is served from the staging cache or a job's ghost slabs.
 func (s *PagedSource) readBrickInto(i int, dst []float32) error {
 	s.mu.Lock()
-	reload := s.loaded[i]
-	s.loaded[i] = true
+	s.reads[i]++
+	reload := s.reads[i] > 1
 	s.mu.Unlock()
 	if reload {
 		s.reloads.Add(1)
 	}
+	d := pageDecoders.Get().(*pageDecoder)
+	err := d.decode(s, i, dst)
+	if cap(d.stored) <= maxPooledPage && cap(d.raw) <= maxPooledPage {
+		pageDecoders.Put(d)
+	}
+	return err
+}
+
+// decode reads brick i of s through d's buffers and decodes it into dst.
+func (d *pageDecoder) decode(s *PagedSource, i int, dst []float32) error {
 	e := s.hdr.dir[i]
-	stored := make([]byte, e.stored)
-	if _, err := s.f.ReadAt(stored, int64(e.off)); err != nil {
+	d.stored = slices.Grow(d.stored[:0], int(e.stored))[:e.stored]
+	if _, err := s.f.ReadAt(d.stored, int64(e.off)); err != nil {
 		return fmt.Errorf("volume: reading brick %d of %s: %w", i, s.path, err)
 	}
 	s.brickReads.Add(1)
-	s.bytesRead.Add(int64(len(stored)))
-	enc := stored
+	s.bytesRead.Add(int64(len(d.stored)))
+	enc := d.stored
 	if s.hdr.compressed() {
-		raw := make([]byte, len(dst)*4)
-		zr := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(zr, raw); err != nil {
-			zr.Close()
+		d.raw = slices.Grow(d.raw[:0], len(dst)*4)[:len(dst)*4]
+		d.src.Reset(d.stored)
+		_ = d.zr.(flate.Resetter).Reset(&d.src, nil) // never errors
+		if _, err := io.ReadFull(d.zr, d.raw); err != nil {
 			return fmt.Errorf("volume: decompressing brick %d of %s: %w", i, s.path, err)
 		}
 		// The stream must end exactly at the core size; trailing data
 		// means the payload does not match the directory.
-		if n, err := zr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-			zr.Close()
+		if n, err := d.zr.Read(d.probe[:]); n != 0 || err != io.EOF {
 			return fmt.Errorf("volume: brick %d of %s has oversized payload", i, s.path)
 		}
-		zr.Close()
-		enc = raw
+		enc = d.raw
 	}
 	for j := range dst {
 		dst[j] = bitsFloat(binary.LittleEndian.Uint32(enc[j*4:]))
@@ -580,7 +615,8 @@ func (s *PagedSource) readBrickInto(i int, dst []float32) error {
 // v2PageSource adapts one file brick to the Source interface so the
 // staging cache can materialise and account it like any other entry. Its
 // identity (keyPrefix + brick id) embeds the file's size and mtime, so a
-// rewritten file can never alias a stale page.
+// rewritten file can never alias a stale page. The cache only ever
+// materialises whole pages, so Fill serves nothing else.
 type v2PageSource struct {
 	s *PagedSource
 	i int
@@ -594,15 +630,10 @@ func (p *v2PageSource) Fill(r Region, dst []float32) error {
 	if err := checkRegion(d, r, len(dst)); err != nil {
 		return err
 	}
-	if r.Org == [3]int{} && r.Ext == d {
-		return p.s.readBrickInto(p.i, dst)
+	if r != (Region{Ext: d}) {
+		return fmt.Errorf("volume: page %d of %s fills only whole, not region %v", p.i, p.s.path, r)
 	}
-	full := make([]float32, d.Voxels())
-	if err := p.s.readBrickInto(p.i, full); err != nil {
-		return err
-	}
-	copyRegion(&Volume{Dims: d, Data: full}, r, dst)
-	return nil
+	return p.s.readBrickInto(p.i, dst)
 }
 
 // page returns brick i's core as a dense volume, preferably out of the
@@ -630,34 +661,36 @@ func (s *PagedSource) page(i int) (*Volume, error) {
 // Fill implements Source: the requested region is assembled from every
 // file brick whose core intersects it, each paged through the staging
 // cache. Fills never materialise the whole volume — this is the
-// out-of-core path.
-func (s *PagedSource) Fill(r Region, dst []float32) error {
+// out-of-core path. Fill is the job-free case of fill.
+func (s *PagedSource) Fill(r Region, dst []float32) error { return s.fill(r, dst, nil, 0) }
+
+// fill is the one paged fill path. It assembles region r into dst from
+// every file brick whose core intersects r. Inside a job (st non-nil,
+// staging brick self), a page whose ghost slab st holds for self is
+// served from that slab instead of being paged, and every page that is
+// paged is offered to st for the job's pending bricks.
+func (s *PagedSource) fill(r Region, dst []float32, st *Stager, self int) error {
 	if err := checkRegion(s.hdr.dims, r, len(dst)); err != nil {
 		return err
 	}
-	e := r.End()
 	blo, bhi := s.brickRange(r)
 	for kz := blo[2]; kz < bhi[2]; kz++ {
 		for ky := blo[1]; ky < bhi[1]; ky++ {
 			for kx := blo[0]; kx < bhi[0]; kx++ {
 				i := s.brickID(kx, ky, kz)
+				c := s.grid.Bricks[i].Core
+				x, _ := intersect(r, c) // non-empty: brickRange overlaps r
+				if slab := st.take(self, i); slab != nil {
+					s.slabHits.Add(1)
+					copyBox(dst, r, slab, x, x)
+					continue
+				}
 				v, err := s.page(i)
 				if err != nil {
 					return err
 				}
-				c := s.grid.Bricks[i].Core
-				ce := c.End()
-				// Intersection of the brick core with r, in volume coords.
-				x0, x1 := max(r.Org[0], c.Org[0]), min(e[0], ce[0])
-				y0, y1 := max(r.Org[1], c.Org[1]), min(e[1], ce[1])
-				z0, z1 := max(r.Org[2], c.Org[2]), min(e[2], ce[2])
-				for z := z0; z < z1; z++ {
-					for y := y0; y < y1; y++ {
-						si := ((z-c.Org[2])*c.Ext.Y+(y-c.Org[1]))*c.Ext.X + (x0 - c.Org[0])
-						di := ((z-r.Org[2])*r.Ext.Y+(y-r.Org[1]))*r.Ext.X + (x0 - r.Org[0])
-						copy(dst[di:di+(x1-x0)], v.Data[si:si+(x1-x0)])
-					}
-				}
+				copyBox(dst, r, v.Data, c, x)
+				st.share(i, c, v.Data)
 			}
 		}
 	}

@@ -49,15 +49,37 @@ func (s *VolumeSource) Fill(r Region, dst []float32) error {
 // copyRegion copies region r of v into dst row-wise; the region must
 // already be validated against v.Dims.
 func copyRegion(v *Volume, r Region, dst []float32) {
-	e := r.End()
-	di := 0
-	for z := r.Org[2]; z < e[2]; z++ {
-		for y := r.Org[1]; y < e[1]; y++ {
-			src := v.Data[v.index(r.Org[0], y, z):v.index(e[0], y, z)]
-			copy(dst[di:di+len(src)], src)
-			di += len(src)
+	copyBox(dst, r, v.Data, Region{Ext: v.Dims}, r)
+}
+
+// copyBox copies box x (volume coordinates) row-wise out of src, a dense
+// x-fastest array over region sr, into dst, a dense array over region dr.
+// x must lie inside both regions.
+func copyBox(dst []float32, dr Region, src []float32, sr Region, x Region) {
+	e := x.End()
+	n := x.Ext.X
+	for z := x.Org[2]; z < e[2]; z++ {
+		for y := x.Org[1]; y < e[1]; y++ {
+			si := ((z-sr.Org[2])*sr.Ext.Y+(y-sr.Org[1]))*sr.Ext.X + (x.Org[0] - sr.Org[0])
+			di := ((z-dr.Org[2])*dr.Ext.Y+(y-dr.Org[1]))*dr.Ext.X + (x.Org[0] - dr.Org[0])
+			copy(dst[di:di+n], src[si:si+n])
 		}
 	}
+}
+
+// intersect returns a ∩ b, with ok == false when they do not overlap.
+func intersect(a, b Region) (x Region, ok bool) {
+	ae, be := a.End(), b.End()
+	var ext [3]int
+	for i := 0; i < 3; i++ {
+		lo, hi := max(a.Org[i], b.Org[i]), min(ae[i], be[i])
+		if lo >= hi {
+			return Region{}, false
+		}
+		x.Org[i], ext[i] = lo, hi-lo
+	}
+	x.Ext = Dims{ext[0], ext[1], ext[2]}
+	return x, true
 }
 
 // Field is an analytic scalar field over normalized coordinates in [0,1]³.
